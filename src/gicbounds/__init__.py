@@ -14,8 +14,6 @@ from .baselines import (
 )
 from .channel import (
     Channel,
-    SemiSymScenario,
-    SymScenario,
     alpha_to_gain,
     channel_from_json,
     channel_to_json,

@@ -53,13 +53,20 @@ class Channel:
         return Channel(self.h[np.ix_(idx, idx)], self.power[idx], self.field)
 
     def symmetric_gain(self) -> complex | None:
-        """Common cross gain if the channel is symmetric, else None."""
+        """Common cross gain if all cross gains are exactly equal and so are
+        all powers, else None."""
         off = self.h[~np.eye(self.k, dtype=bool)]
-        if np.allclose(off, off[0], atol=1e-12) and np.allclose(
-            self.power, self.power[0], atol=1e-12
-        ):
+        if np.all(off == off[0]) and np.all(self.power == self.power[0]):
             return complex(off[0])
         return None
+
+    def is_circulant(self) -> bool:
+        """Exactly circulant (h[i, j] depends only on j - i mod K) with
+        exactly equal powers: cyclic shifts of the users are relabelings
+        that leave the channel unchanged."""
+        shifted = np.roll(self.h, (1, 1), axis=(0, 1))
+        return bool(np.all(self.h == shifted)
+                    and np.all(self.power == self.power[0]))
 
 
 def _infer_field(*values) -> str:
@@ -93,28 +100,6 @@ def make_semi_symmetric(k: int, g_list, p: float, field: str | None = None) -> C
     if field is None:
         field = _infer_field(g_list)
     return Channel(h, np.full(k, float(p)), field)
-
-
-@dataclass(frozen=True)
-class SymScenario:
-    k: int
-    g: complex
-    p: float
-    field: str | None = None
-
-    def expand(self) -> Channel:
-        return make_symmetric(self.k, self.g, self.p, self.field)
-
-
-@dataclass(frozen=True)
-class SemiSymScenario:
-    k: int
-    g_list: tuple
-    p: float
-    field: str | None = None
-
-    def expand(self) -> Channel:
-        return make_semi_symmetric(self.k, list(self.g_list), self.p, self.field)
 
 
 def alpha_to_gain(alpha: float, p: float) -> float:

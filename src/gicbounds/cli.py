@@ -12,11 +12,12 @@ import math
 import sys
 
 from . import kuser as ku
+from .bounds import BOUNDS, UPPER
 from .channel import db_to_linear
 from .sweep import (
     ALL_BOUNDS,
     FIGURE_IDS,
-    LOWER_BOUNDS,
+    SWEEP_AXES,
     SurfaceSpec,
     SweepSpec,
     reproduce,
@@ -44,23 +45,34 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
-def _add_common(sub):
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--p", type=float, default=None, help="power, linear")
-    sub.add_argument("--p-db", dest="p_db", type=float, default=None)
-    sub.add_argument("--g", type=str, default=None,
-                     help="cross gain, complex as 'a+bi'")
-    sub.add_argument("--g2", type=str, default=None,
-                     help="second cross gain (semi-symmetric / surface)")
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--field", choices=("real", "complex"), default=None)
-    sub.add_argument("--bounds", type=str, default=None,
-                     help="comma-separated bound names or 'all'")
-    sub.add_argument("--grid", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON file mirroring the flags")
+#: flags of each verb besides --config; a verb has only the flags it reads
+VERB_FLAGS = {
+    "eval": ("k", "p", "p_db", "g", "alpha", "field", "bounds", "out",
+             "threads"),
+    "sweep": ("axis", "start", "stop", "step", "k", "p", "p_db", "g", "field",
+              "bounds", "out", "threads"),
+    "surface": ("g", "g2", "p", "p_db", "bounds", "grid", "out", "threads"),
+    "largek": ("k", "p", "p_db", "g", "out"),
+    "reproduce": ("out", "threads"),
+}
+
+_FLAG_ARGS = {
+    "k": {"type": int},
+    "p": {"type": float, "help": "power, linear"},
+    "p_db": {"type": float},
+    "g": {"type": str, "help": "cross gain, complex as 'a+bi'"},
+    "g2": {"type": str, "help": "second cross gain of the surface"},
+    "alpha": {"type": float},
+    "field": {"choices": ("real", "complex")},
+    "bounds": {"type": str, "help": "comma-separated bound names or 'all'"},
+    "grid": {"type": int},
+    "out": {"type": str},
+    "threads": {"type": int},
+    "axis": {"choices": SWEEP_AXES},
+    "start": {"type": float},
+    "stop": {"type": float},
+    "step": {"type": float},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,31 +81,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sum-capacity bounds for K-user Gaussian interference "
                     "channels")
     subs = ap.add_subparsers(dest="verb", required=True)
-    for verb in ("eval", "sweep", "surface", "largek"):
+    for verb, flags in VERB_FLAGS.items():
         sub = subs.add_parser(verb)
-        _add_common(sub)
-        if verb == "sweep":
-            sub.add_argument("--axis", choices=("alpha", "g2", "phase",
-                                                "snr_db", "K"), default=None)
-            sub.add_argument("--start", type=float, default=None)
-            sub.add_argument("--stop", type=float, default=None)
-            sub.add_argument("--step", type=float, default=None)
-    sub = subs.add_parser("reproduce")
-    sub.add_argument("figure", choices=FIGURE_IDS)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--config", type=str, default=None)
+        if verb == "reproduce":
+            sub.add_argument("figure", choices=FIGURE_IDS)
+        for flag in flags:
+            sub.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                             default=None, **_FLAG_ARGS[flag])
+        sub.add_argument("--config", type=str, default=None,
+                         help="JSON file mirroring the flags")
     return ap
 
 
 def _merge_config(args) -> dict:
-    """Config file supplies defaults; explicit flags win."""
+    """Config file supplies defaults; explicit flags win.  A config key the
+    verb has no flag for is an error."""
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            merged.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("the config file must hold a JSON object")
+        unread = sorted(set(doc) - set(VERB_FLAGS[args.verb]))
+        if unread:
+            raise ValueError(f"{args.verb} does not read config key(s) "
+                             f"{', '.join(unread)}")
+        merged.update(doc)
     for key, val in vars(args).items():
-        if key in ("config",) or val is None:
+        if key in ("config", "verb") or val is None:
             continue
         merged[key] = val
     return merged
@@ -107,18 +122,16 @@ def _resolve_power(cfg) -> float:
     return float(cfg.get("p", 10.0))
 
 
-def _resolve_bounds(cfg) -> tuple:
+def _bounds(cfg) -> dict:
+    """The spec keyword for --bounds (comma-separated names, or 'all' for
+    the whole bound table); empty when not given, keeping the default."""
     raw = cfg.get("bounds")
     if raw is None:
-        return ("best_upper", "lower_best")
+        return {}
     if isinstance(raw, str):
-        if raw == "all":
-            return ALL_BOUNDS
-        raw = [b.strip() for b in raw.split(",") if b.strip()]
-    for b in raw:
-        if b not in ALL_BOUNDS:
-            raise ValueError(f"unknown bound {b!r}")
-    return tuple(raw)
+        raw = (ALL_BOUNDS if raw == "all"
+               else [b.strip() for b in raw.split(",") if b.strip()])
+    return {"bounds": tuple(raw)}
 
 
 def _resolve_gain(cfg, key="g", default=1.0):
@@ -134,7 +147,7 @@ def _finish(rows, cfg) -> int:
         write_csv(rows, out)
     else:
         sys.stdout.write(rows_to_csv(rows))
-    uppers = [r for r in rows if r["bound"] not in LOWER_BOUNDS]
+    uppers = [r for r in rows if BOUNDS[r["bound"]].kind == UPPER]
     if uppers and all(not r["feasible"] for r in uppers):
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -150,7 +163,7 @@ def _cmd_eval(cfg) -> int:
         g = mag * (g / abs(g) if abs(g) > 0 else 1.0)
     spec = SweepSpec("g2", abs(g) ** 2, abs(g) ** 2, 1.0, k=k, p=p,
                      g=g if abs(g) > 0 else 1.0, field=cfg.get("field"),
-                     bounds=_resolve_bounds(cfg))
+                     **_bounds(cfg))
     # reuse the sweep machinery for a single grid point
     rows = run_sweep(spec, threads=int(cfg.get("threads", 1)))
     for r in rows:
@@ -165,7 +178,7 @@ def _cmd_sweep(cfg) -> int:
     spec = SweepSpec(cfg["axis"], float(cfg["start"]), float(cfg["stop"]),
                      float(cfg["step"]), k=int(cfg.get("k", 3)),
                      p=_resolve_power(cfg), g=_resolve_gain(cfg),
-                     field=cfg.get("field"), bounds=_resolve_bounds(cfg))
+                     field=cfg.get("field"), **_bounds(cfg))
     rows = run_sweep(spec, threads=int(cfg.get("threads", 1)))
     return _finish(rows, cfg)
 
@@ -175,11 +188,8 @@ def _cmd_surface(cfg) -> int:
     g2 = _resolve_gain(cfg, "g2")
     if g2 is None:
         g2 = g1
-    kwargs = {}
-    if cfg.get("bounds") is not None:
-        kwargs["bounds"] = _resolve_bounds(cfg)
     spec = SurfaceSpec(abs(g1) ** 2, abs(g2) ** 2, p=_resolve_power(cfg),
-                       grid_n=int(cfg.get("grid", 32)), **kwargs)
+                       grid_n=int(cfg.get("grid", 32)), **_bounds(cfg))
     _, _, rows, report = run_surface(spec, threads=int(cfg.get("threads", 1)))
     code = _finish(rows, cfg)
     sys.stderr.write(

@@ -21,11 +21,12 @@ from .baselines import (
     best_result,
     kramer_two_user,
 )
-from .channel import Channel, _cyclic_condition_holds
-from .gaussnet import COMPLEX, GaussianSystem, mutual_info
+from .channel import Channel, _cyclic_condition_holds, make_symmetric
+from .gaussnet import mutual_info
 from .genie3 import (
     NoiseParam,
     _cond_var,
+    _gauss_inputs,
     _safe_log2,
     _star,
     _tied_param_grid,
@@ -51,12 +52,11 @@ class KGenieConfig:
     n: tuple
     w1: NoiseParam
     wk: NoiseParam
-    tied: bool = True
 
     @classmethod
     def make_tied(cls, k: int, n: NoiseParam, w: NoiseParam | None = None):
         w = w or n
-        return cls((n,) * (k - 2), w, w, True)
+        return cls((n,) * (k - 2), w, w)
 
     def arrays(self):
         sn = np.array([x.sigma for x in self.n], dtype=float)
@@ -90,17 +90,7 @@ KERNEL_FALLBACK_MAX_K = 64
 
 
 def _symmetric_inputs(k, g, p):
-    sysm = GaussianSystem(COMPLEX)
-    xs = [sysm.gaussian(math.sqrt(p)) for _ in range(k)]
-    zs = [sysm.latent() for _ in range(k)]
-    ys = []
-    for rr in range(k):
-        y = xs[rr] + zs[rr]
-        for t in range(k):
-            if t != rr:
-                y = y + xs[t] * complex(g)
-        ys.append(y)
-    return sysm, xs, zs, ys
+    return _gauss_inputs(make_symmetric(k, g, p))
 
 
 def _weak_chain_kernel(k, g, p, cfg) -> float:
@@ -423,20 +413,6 @@ def affine_approx(k: int, p: float, g) -> float:
 
 
 # asymmetric K-user bounds ---------------------------------------------------
-
-def _gauss_inputs(channel: Channel):
-    sysm = GaussianSystem(COMPLEX)
-    xs = [sysm.gaussian(math.sqrt(pk)) for pk in channel.power]
-    zs = [sysm.latent() for _ in range(channel.k)]
-    ys = []
-    for r in range(channel.k):
-        y = xs[r] + zs[r]
-        for t in range(channel.k):
-            if t != r:
-                y = y + xs[t] * complex(channel.h[r, t])
-        ys.append(y)
-    return sysm, xs, zs, ys
-
 
 def _perm_list(channel: Channel, perm, cap: int):
     if perm is not None:

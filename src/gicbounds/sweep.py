@@ -19,9 +19,9 @@ import numpy as np
 
 from . import baselines as bl
 from . import genie3 as g3
-from . import kuser as ku
 from .baselines import BoundResult
-from .channel import Channel, alpha_to_gain, make_semi_symmetric, make_symmetric
+from .bounds import BOUNDS, LOWER, THREE_USER, UPPER, Point, bound
+from .channel import alpha_to_gain, make_semi_symmetric, make_symmetric
 
 CSV_COLUMNS = ("k", "field", "p_linear", "g1_re", "g1_im", "g2_re", "g2_im",
                "axis", "axis_value", "bound", "sum_rate_bits", "normalized",
@@ -29,16 +29,8 @@ CSV_COLUMNS = ("k", "field", "p_linear", "g1_re", "g1_im", "g2_re", "g2_im",
 
 SWEEP_AXES = ("alpha", "g2", "phase", "snr_db", "K")
 
-#: bounds needing K = 3
-THREE_USER_BOUNDS = ("gen_kramer3", "zchain3", "coi3", "etkin3", "hybrid3",
-                     "hybrid3_sym", "new_min", "best_upper")
-#: bounds for any K (symmetric scenario)
-ANY_K_BOUNDS = ("kramer2", "etw2", "cf_weak", "cf_hybrid", "cf_strong",
-                "cf_best", "kuser_weak", "kuser_hybrid", "affine",
-                "tin", "tdm", "snd", "lower_best")
-LOWER_BOUNDS = ("tin", "tdm", "snd", "lower_best")
-
-ALL_BOUNDS = tuple(sorted(set(THREE_USER_BOUNDS) | set(ANY_K_BOUNDS)))
+ALL_BOUNDS = tuple(sorted(BOUNDS))
+LOWER_BOUNDS = tuple(n for n, b in BOUNDS.items() if b.kind == LOWER)
 
 
 @dataclass(frozen=True)
@@ -63,6 +55,8 @@ class SweepSpec:
                 0.0 <= self.start <= 2 * math.pi + 1e-9
                 and 0.0 <= self.stop <= 2 * math.pi + 1e-9):
             raise ValueError("phase range must lie in [0, 2*pi]")
+        for name in self.bounds:
+            bound(name)
 
     def grid(self) -> np.ndarray:
         n = int(round((self.stop - self.start) / self.step)) + 1
@@ -82,6 +76,12 @@ class SurfaceSpec:
             raise ValueError("grid_n must be at least 8")
         if self.mag2_1 < 0 or self.mag2_2 < 0:
             raise ValueError("negative squared magnitude")
+        # cells are circulant channels, symmetric only where g1 = g2, so
+        # only upper bounds valid for any three-user channel describe them
+        for name in self.bounds:
+            if (bound(name).kind, bound(name).scope) != (UPPER, THREE_USER):
+                raise ValueError(f"surface bounds must be upper bounds for "
+                                 f"any {THREE_USER} channel, not {name!r}")
 
     def phases(self) -> np.ndarray:
         # endpoint-exclusive so the torus seam is not double counted
@@ -96,64 +96,6 @@ class ConjectureReport:
 
     extrema: tuple
     tdm_normalized: float
-
-
-def _scenario(k, g, p, g2=None, field=None) -> Channel:
-    if g2 is None:
-        return make_symmetric(k, g, p, field)
-    return make_semi_symmetric(3, [g, g2], p, field)
-
-
-def _eval_bound(name: str, ch: Channel, k, g, p) -> BoundResult:
-    sym = ch.symmetric_gain() if ch is not None else g
-    if name in THREE_USER_BOUNDS and (ch is None or ch.k != 3):
-        raise ValueError(f"bound {name!r} needs a three-user channel")
-    if name == "kramer2":
-        return bl.kramer_two_user(p, g, k_users=k)
-    if name == "etw2":
-        return bl.etw_two_user(p, g, k_users=k)
-    if name == "gen_kramer3":
-        return bl.gen_kramer_three(ch)
-    if name == "zchain3":
-        return bl.z_extension_three(ch)
-    if name == "coi3":
-        return g3.coi_optimize(ch)
-    if name == "etkin3":
-        return g3.etkin_optimize(ch)
-    if name == "hybrid3":
-        if sym is not None:
-            return g3.hybrid_symmetric_bound(p, sym)
-        return g3.hybrid_optimize(ch)
-    if name == "hybrid3_sym":
-        if sym is None:
-            raise ValueError("hybrid3_sym needs a symmetric scenario")
-        return g3.hybrid_symmetric_bound(p, sym)
-    if name == "new_min":
-        return g3.new_minimum_three(ch)
-    if name == "best_upper":
-        return g3.best_upper_three(ch)
-    if name == "cf_weak":
-        return ku.closed_form_weak(k, g, p)
-    if name == "cf_hybrid":
-        return ku.closed_form_hybrid(k, g, p)
-    if name == "cf_strong":
-        return ku.closed_form_strong_search(k, g, p)
-    if name == "cf_best":
-        return ku.closed_form_best(k, g, p)
-    if name == "kuser_weak":
-        return ku.kuser_weak_optimize(k, g, p)
-    if name == "kuser_hybrid":
-        return ku.kuser_hybrid_optimize(k, g, p)
-    if name == "affine":
-        if p <= 1.0 or abs(1.0 - complex(g)) < 1e-12:
-            return BoundResult.infeasible("affine", k)
-        rate = ku.affine_approx(k, p, g)
-        return BoundResult.make("affine", k, k * rate)
-    if name in LOWER_BOUNDS:
-        lb = bl.lower_bounds(k, g, p)
-        key = "best" if name == "lower_best" else name
-        return lb.as_result(key)
-    raise ValueError(f"unknown bound {name!r}")
 
 
 def _point_params(spec: SweepSpec, x: float):
@@ -197,20 +139,17 @@ def _row(k, field, p, g1, g2, axis, x, res: BoundResult) -> dict:
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[dict]:
     """One row per grid point per bound, grid-major and bound-name-minor."""
-    bounds = list(spec.bounds)
-    for b in bounds:
-        if b not in ALL_BOUNDS:
-            raise ValueError(f"unknown bound {b!r}")
     grid = spec.grid()
 
     def eval_point(x):
         k, g, p = _point_params(spec, float(x))
-        ch = _scenario(k, g, p, field=spec.field) if k == 3 else None
+        ch = make_symmetric(k, g, p, spec.field) if k == 3 else None
         field = (ch.field if ch is not None
                  else ("real" if complex(g).imag == 0 else "complex"))
+        point = Point(k, g, p, ch)
         rows = []
-        for name in sorted(bounds):
-            res = _eval_bound(name, ch, k, g, p)
+        for name in sorted(spec.bounds):
+            res = point.evaluate(name)
             row = _row(k, field, p, g, None, spec.axis, float(x), res)
             row["bound"] = name
             rows.append(row)
@@ -249,7 +188,8 @@ def run_surface(spec: SurfaceSpec, threads: int = 1):
     m1, m2 = math.sqrt(spec.mag2_1), math.sqrt(spec.mag2_2)
 
     # a coarse scan plus the local 10x refinement is accurate to ~1e-4 on the
-    # smooth genie objectives and keeps full surfaces tractable
+    # smooth genie objectives and keeps full surfaces tractable; it serves
+    # the etkin3 bound alone, the composites keep their full searches
     surface_res = (33, 17, 16)
 
     def eval_point(idx):
@@ -257,13 +197,10 @@ def run_surface(spec: SurfaceSpec, threads: int = 1):
         g1 = m1 * complex(np.exp(1j * phis[i]))
         g2 = m2 * complex(np.exp(1j * phis[j]))
         ch = make_semi_symmetric(3, [g1, g2], spec.p)
-        results = []
-        for b in sorted(spec.bounds):
-            if b == "etkin3":
-                results.append(g3.etkin_optimize(ch, resolution=surface_res))
-            else:
-                results.append(_eval_bound(b, ch, 3, g1, spec.p))
-        res = bl.best_result(results)
+        point = Point.of(ch)
+        res = bl.best_result([
+            g3.etkin_optimize(ch, resolution=surface_res) if b == "etkin3"
+            else point.evaluate(b) for b in sorted(spec.bounds)])
         row = _row(3, ch.field, spec.p, g1, g2, "phase_surface",
                    float(phis[i]), res)
         row["bound"] = "best_upper"

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from gicbounds.channel import (
     Channel,
-    SemiSymScenario,
-    SymScenario,
     alpha_to_gain,
     channel_from_json,
     channel_to_json,
@@ -49,11 +47,27 @@ def test_semi_symmetric_rows():
         make_semi_symmetric(3, [g1], 5.0)
 
 
-def test_scenario_dataclasses():
-    assert np.allclose(SymScenario(3, 0.5, 10.0).expand().h,
-                       make_symmetric(3, 0.5, 10.0).h)
-    assert np.allclose(SemiSymScenario(3, (0.5, 0.2), 10.0).expand().h,
-                       make_semi_symmetric(3, [0.5, 0.2], 10.0).h)
+def test_symmetry_checks_are_exact():
+    from gicbounds.genie3 import _perm_classes
+
+    assert make_symmetric(3, 0.7, 10.0).symmetric_gain() == 0.7
+    near = make_symmetric(3, 0.7, 10.0).h.copy()
+    near[0, 1] = 0.7 * (1 + 5e-6)
+    assert Channel(near, np.full(3, 10.0)).symmetric_gain() is None
+    assert Channel(make_symmetric(3, 0.7, 10.0).h,
+                   [10.0, 10.0, 10.00005]).symmetric_gain() is None
+
+    circ = make_semi_symmetric(3, [0.6, -0.9], 10.0)
+    assert circ.is_circulant()
+    assert _perm_classes(circ) == [(0, 1, 2), (0, 2, 1)]
+    h = circ.h.copy()
+    h[2, 0] = 0.6 * (1 + 1e-14)
+    assert not Channel(h, circ.power).is_circulant()
+    assert len(_perm_classes(Channel(h, circ.power))) == 6
+    uneven = Channel(circ.h, [10.0, 10.0, 10.00005])
+    assert not uneven.is_circulant()
+    assert len(_perm_classes(uneven)) == 6
+    assert make_semi_symmetric(4, [1.0, 2.0, 3.0], 1.0).is_circulant()
 
 
 def test_standard_form_enforced():

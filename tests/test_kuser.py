@@ -100,7 +100,7 @@ def test_weak_chain_matches_kernel(k):
                                          abs=1e-9)
     # an untied sample, value compared regardless of feasibility flags
     params = [ku.NoiseParam(0.8 + 0.02 * i, 0.75) for i in range(k - 2)]
-    cfg2 = ku.KGenieConfig(tuple(params), params[0], params[0], tied=False)
+    cfg2 = ku.KGenieConfig(tuple(params), params[0], params[0])
     res2 = ku.kuser_weak_bound(k, g, p, cfg2)
     if res2.feasible:
         assert res2.sum_rate == pytest.approx(

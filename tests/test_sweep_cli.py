@@ -122,6 +122,22 @@ def test_surface_grid_validation():
         SurfaceSpec(0.3, 0.3, grid_n=4)
 
 
+def test_surface_accepts_only_upper_bounds_of_any_three_user_channel():
+    for name in ("etkin3", "coi3", "hybrid3", "zchain3", "new_min",
+                 "best_upper"):
+        SurfaceSpec(0.3, 0.7, grid_n=8, bounds=(name,))
+    # a lower bound, symmetric-only bounds and K-user bounds would be
+    # evaluated for a channel that is not the surface's
+    for name in ("lower_best", "tdm", "kramer2", "gen_kramer3",
+                 "hybrid3_sym", "cf_best", "kuser_weak", "nope"):
+        with pytest.raises(ValueError):
+            SurfaceSpec(0.3, 0.7, grid_n=8, bounds=("etkin3", name))
+    code, _, err = run_cli("surface", "--g", "0.5477", "--grid", "8",
+                           "--bounds", "etkin3,lower_best")
+    assert code == 2
+    assert "lower_best" in err
+
+
 def test_reproduce_unknown_id():
     with pytest.raises(ValueError):
         reproduce("fig99", ".")
@@ -184,6 +200,38 @@ def test_cli_bad_config_exit_2():
     assert code == 2
     code, _, _ = run_cli("eval", "--p", "10", "--p-db", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--g2", "0.3"),
+    ("eval", "--grid", "5"),
+    ("sweep", "--axis", "g2", "--start", "0.2", "--stop", "0.4",
+     "--step", "0.2", "--alpha", "0.5"),
+    ("surface", "--k", "4", "--grid", "8"),
+    ("surface", "--field", "real", "--grid", "8"),
+    ("largek", "--bounds", "tdm"),
+    ("largek", "--grid", "8"),
+    ("largek", "--threads", "2"),
+    ("reproduce", "fig1", "--g", "0.5"),
+])
+def test_cli_rejects_flags_the_verb_does_not_read(argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_rejects_config_keys_the_verb_does_not_read(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"g": 0.5, "g2": 0.3, "bounds": "tdm"}))
+    code, out, err = run_cli("eval", "--config", str(cfg_path))
+    assert code == 2
+    assert out == "" and "g2" in err
+    cfg_path.write_text(json.dumps([1]))
+    code, out, _ = run_cli("eval", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    cfg_path.write_text(json.dumps({"g": 0.5, "bounds": "tdm"}))
+    code, _, _ = run_cli("eval", "--config", str(cfg_path))
+    assert code == 0
 
 
 def test_cli_infeasible_everywhere_exit_3():
