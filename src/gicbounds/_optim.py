@@ -1,4 +1,6 @@
-"""Deterministic 1-D minimizers used by the bound parameter searches."""
+"""Deterministic 1-D minimizers used by the bound parameter searches, and
+the row-blocking helper that bounds the memory of the vectorized
+objectives."""
 
 from __future__ import annotations
 
@@ -8,6 +10,25 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+#: most array cells (rows x width) an objective holds per block.  Each
+#: temporary stays at 0.5-1 MB, which glibc's allocator reuses from block to
+#: block; with 2^18 cells it handed the ~4 MB temporaries back to the OS
+#: after every block and page-faulted them in again, slower than no blocking
+BLOCK_CELLS = 1 << 16
+
+
+def by_rows(fn, arrays, width: int):
+    """fn(*arrays) evaluated on blocks of at most BLOCK_CELLS // width rows
+    of the arrays' shared leading axis, each output concatenated back.
+    fn must work row by row, so blocking changes no output bit; inputs that
+    fit in one block go to fn whole."""
+    n = len(arrays[0])
+    rows = max(1, BLOCK_CELLS // width)
+    if n <= rows:
+        return fn(*arrays)
+    parts = [fn(*(a[i:i + rows] for a in arrays)) for i in range(0, n, rows)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def golden_section(obj, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:

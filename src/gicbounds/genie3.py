@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import grid_then_golden
+from ._optim import by_rows, grid_then_golden
 from .baselines import FEAS_SLACK, BoundResult, best_result
 # perfbench/selfcheck.py checks that its span wrapper reaches this name too
 from .baselines import gen_kramer_three  # noqa: F401
@@ -159,13 +159,17 @@ def _etkin_terms(channel: Channel, sigma, rho, branch: str):
     """Vectorized sum rate and validity of the Etkin-type chain for lead user
     1 (after any relabeling); entries needing the exact 0*inf cancellation
     come back non-finite and are resolved through the kernel."""
+    return by_rows(lambda sigma, rho: _etkin_rows(channel, sigma, rho, branch),
+                   (np.asarray(sigma, dtype=float),
+                    np.asarray(rho, dtype=complex)), 1)
+
+
+def _etkin_rows(channel, sigma, rho, branch):
     h, p = channel.h, channel.power
     p1, p2, p3 = p
     h12, h13, h23 = h[0, 1], h[0, 2], h[1, 2]
     a12, a13, a23 = abs(h12) ** 2, abs(h13) ** 2, abs(h23) ** 2
 
-    sigma = np.asarray(sigma, dtype=float)
-    rho = np.asarray(rho, dtype=complex)
     var_s = a12 * p2 + a13 * p3 + sigma**2
     cov_ys = np.conj(h12) * p2 + h23 * np.conj(h13) * p3 + rho * sigma
     var_y = p2 + a23 * p3 + 1.0
@@ -315,10 +319,13 @@ def etkin_optimize(channel: Channel, perms=None,
 def _coi_value(channel: Channel, sw, rw):
     """Sum rate of the change-of-interference bound; sw, rw have shape
     (..., 3).  Returns (value, feasible) arrays of shape (...)."""
-    h, p = channel.h, channel.power
-    sw = np.asarray(sw, dtype=float)
-    rw = np.asarray(rw, dtype=complex)
+    return by_rows(lambda sw, rw: _coi_rows(channel, sw, rw),
+                   (np.asarray(sw, dtype=float), np.asarray(rw, dtype=complex)),
+                   3)
 
+
+def _coi_rows(channel, sw, rw):
+    h, p = channel.h, channel.power
     total = 0.0
     feasible = np.full(sw.shape[:-1], True)
     vzw = _var_z_minus_cn(sw, rw, 1.0)          # (..., 3)
@@ -487,17 +494,15 @@ def _hybrid_value(channel: Channel, sw, rw, sn, rn, branch: str):
     interference at lead receiver a, and receiver c the change-of-interference
     input U_c; the three cyclic groups are averaged.
     """
+    arrays = (np.asarray(sw, float), np.asarray(rw, complex),
+              np.asarray(sn, float), np.asarray(rn, complex))
     with np.errstate(invalid="ignore"):
-        return _hybrid_value_inner(channel, sw, rw, sn, rn, branch)
+        return by_rows(lambda sw, rw, sn, rn: _hybrid_value_inner(
+            channel, sw, rw, sn, rn, branch), arrays, 3)
 
 
 def _hybrid_value_inner(channel, sw, rw, sn, rn, branch):
     h, p = channel.h, channel.power
-    sw = np.asarray(sw, float)
-    rw = np.asarray(rw, complex)
-    sn = np.asarray(sn, float)
-    rn = np.asarray(rn, complex)
-
     vzw = _var_z_minus_cn(sw, rw, 1.0)
     v_w = _v_w(sw, rw)
     total = 0.0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._optim import by_rows
 from .baselines import (
     FEAS_SLACK,
     BoundResult,
@@ -200,11 +201,15 @@ def kuser_hybrid_bound(k: int, g, p: float, cfg: KGenieConfig) -> BoundResult:
 
 def _kuser_tied_values(k, g, p, s, r, hybrid: bool):
     """Vectorized tied-parameter chain values over (s, r) grids; one noise
-    pair drives every genie (the closed-form pinnings are tied)."""
+    pair drives every genie (the closed-form pinnings are tied).  The grid
+    is evaluated in row blocks, each holding (rows x (K-2)) cells."""
+    return by_rows(lambda s, r: _kuser_tied_rows(k, g, p, s, r, hybrid),
+                   (np.asarray(s, float), np.asarray(r, complex)), k - 2)
+
+
+def _kuser_tied_rows(k, g, p, s, r, hybrid):
     g = complex(g)
     g2 = abs(g) ** 2
-    s = np.asarray(s, float)
-    r = np.asarray(r, complex)
     b = (k - 1) * g2 * p
     m = np.arange(2, k)[None, :]
     s2 = (s**2)[:, None]

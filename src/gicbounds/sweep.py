@@ -180,6 +180,16 @@ def _line_distance(phi1, phi2, family) -> float:
     return best
 
 
+def _torus_extrema(values):
+    """(is_max, is_min) masks of the cells of a torus grid that lie strictly
+    above (below) all 8 neighbours; the edges of a plateau of equal values
+    are not extrema."""
+    stack = np.stack([np.roll(np.roll(values, di, 0), dj, 1)
+                      for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                      if (di, dj) != (0, 0)])
+    return np.all(values > stack, axis=0), np.all(values < stack, axis=0)
+
+
 def run_surface(spec: SurfaceSpec, threads: int = 1):
     """Best-upper surface over the two cross-gain phases plus extremum
     diagnostics.  Returns (phases, values, rows, report)."""
@@ -216,12 +226,7 @@ def run_surface(spec: SurfaceSpec, threads: int = 1):
     values = np.array([r["normalized"] for r in rows], dtype=float).reshape(n, n)
 
     extrema = []
-    neigh = [np.roll(np.roll(values, di, 0), dj, 1)
-             for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-    stack = np.stack(neigh)
-    is_max = np.all(values >= stack, axis=0) & np.any(values > stack, axis=0)
-    is_min = np.all(values <= stack, axis=0) & np.any(values < stack, axis=0)
-    for kind, mask in (("max", is_max), ("min", is_min)):
+    for kind, mask in zip(("max", "min"), _torus_extrema(values)):
         for i, j in zip(*np.nonzero(mask)):
             p1, p2 = float(phis[i]), float(phis[j])
             extrema.append({

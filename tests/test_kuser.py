@@ -3,6 +3,7 @@ asymmetric bounds."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_vectorized_tied_values_match_scalar(k):
                 assert vals[i] == pytest.approx(res.sum_rate, abs=1e-9)
             else:
                 assert vals[i] == float("inf")
+
+
+@pytest.mark.parametrize("optimize", [ku.kuser_weak_optimize,
+                                      ku.kuser_hybrid_optimize])
+def test_tied_search_memory_does_not_grow_with_grid_times_k(optimize):
+    # a complex gain gives the tied scan its full complex grid; the chain's
+    # K - 2 columns must not be held for every grid point at once
+    tracemalloc.start()
+    try:
+        optimize(64, 0.5 + 0.5j, 30.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # large-K behaviour -----------------------------------------------------------

@@ -14,6 +14,7 @@ from gicbounds.sweep import (
     LOWER_BOUNDS,
     SurfaceSpec,
     SweepSpec,
+    _torus_extrema,
     reproduce,
     rows_to_csv,
     run_surface,
@@ -110,11 +111,23 @@ def test_surface_swap_symmetry_and_tdm():
 
 
 def test_surface_unequal_mags_has_extrema_report():
-    spec = SurfaceSpec(0.3, 0.7, p=10.0, grid_n=8)
+    # etkin3 alone: with the default zchain3 the surface's top is a flat,
+    # phase-independent plateau, which holds no strict maximum
+    spec = SurfaceSpec(0.3, 0.7, p=10.0, grid_n=8, bounds=("etkin3",))
     _, vals, rows, rep = run_surface(spec)
     kinds = {e["kind"] for e in rep.extrema}
     assert "max" in kinds and "min" in kinds
     assert np.isfinite(vals).all()
+
+
+def test_surface_extrema_are_strict_not_plateau_edges():
+    values = np.full((6, 6), 2.0)
+    values[0:2, 0:2] = 1.0      # plateau: equal cells, higher cells around
+    values[3, 3] = 0.5          # strict minimum
+    values[4, 0] = 3.0          # strict maximum
+    is_max, is_min = _torus_extrema(values)
+    assert list(zip(*np.nonzero(is_max))) == [(4, 0)]
+    assert list(zip(*np.nonzero(is_min))) == [(3, 3)]
 
 
 def test_surface_grid_validation():
