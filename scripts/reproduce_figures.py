@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Regenerate the canned figure-style CSV datasets and the eval panel, then
-print one ``name sha256`` line per CSV written.
+"""Regenerate the canned figure-style CSV datasets and the eval panel, print
+one ``name sha256`` line per CSV written, and compare each digest with the
+reference list in ``scripts/panel.sha256``.
 
 The eval panel is six single-point ``gicbounds eval`` tables at P = 10:
 K = 3 with every bound at g = 0.3, 0.7, 1, 1.5 and 0.5+0.5i
 (eval3_0 .. eval3_4), and K = 5 at g = 0.6 with the bounds that apply to
 any K (eval5).  Together with the figures these are the 32 CSVs whose
-digests tell whether a change moved any output byte.
+digests tell whether a change moved any output byte.  The script exits 1
+and names every CSV whose digest differs from the reference (in
+``sha256sum`` format, so ``sha256sum -c`` reads it too); a change that moves
+outputs on purpose regenerates that file.
 
 Usage:
     python scripts/reproduce_figures.py [--out DIR] [--threads N] [--only id ...]
@@ -25,6 +29,8 @@ from gicbounds.bounds import BOUNDS, SYMMETRIC
 from gicbounds.cli import main as cli_main
 from gicbounds.sweep import FIGURE_IDS, reproduce
 
+PANEL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     "panel.sha256")
 EVAL3_GAINS = ("0.3", "0.7", "1", "1.5", "0.5+0.5i")
 ANY_K_BOUNDS = ",".join(sorted(n for n, b in BOUNDS.items()
                                if b.scope == SYMMETRIC))
@@ -65,11 +71,21 @@ def main() -> int:
     paths = eval_panel(args.out, args.threads)
     print(f"eval: {len(paths)} file(s) in {time.time() - t0:.1f}s")
     written += paths
+    with open(PANEL, encoding="utf-8") as fh:
+        reference = {name: digest for digest, name in
+                     (line.split() for line in fh if line.strip())}
+    mismatched = []
     for path in sorted(written):
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        print(f"{os.path.splitext(os.path.basename(path))[0]} {digest}")
-    return 0
+        name = os.path.basename(path)
+        print(f"{os.path.splitext(name)[0]} {digest}")
+        if reference.get(name) != digest:
+            mismatched.append(name)
+    for name in mismatched:
+        print(f"MISMATCH {name}: expected {reference.get(name, 'no entry')}",
+              file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

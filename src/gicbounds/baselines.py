@@ -227,5 +227,9 @@ def lower_bounds(k: int, g: complex, p: float) -> LowerBounds:
     g2 = abs(g) ** 2
     tin = math.log2(1.0 + p / (1.0 + (k - 1) * g2 * p))
     tdm = math.log2(1.0 + k * p) / k
-    snd = min(math.log2(1.0 + p + (s - 1) * g2 * p) / s for s in range(1, k + 1))
+    # the minimum over s = 1..K of f(s) = log2(1 + P + (s-1)|g|^2 P) / s:
+    # with a = 1 + P - |g|^2 P and b = |g|^2 P the numerator of f'(s),
+    # bs/(a+bs) - ln(a+bs), falls in s, so f rises then falls and takes
+    # its minimum at s = 1 or s = K
+    snd = min(math.log2(1.0 + p + (s - 1) * g2 * p) / s for s in (1, k))
     return LowerBounds(k, tin, tdm, snd)

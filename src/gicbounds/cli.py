@@ -51,7 +51,7 @@ VERB_FLAGS = {
              "threads"),
     "sweep": ("axis", "start", "stop", "step", "k", "p", "p_db", "g", "field",
               "bounds", "out", "threads"),
-    "surface": ("g", "g2", "p", "p_db", "bounds", "grid", "out", "threads"),
+    "surface": ("g", "g2", "p", "p_db", "bounds", "grid", "out"),
     "largek": ("k", "p", "p_db", "g", "out"),
     "reproduce": ("out", "threads"),
 }
@@ -190,7 +190,7 @@ def _cmd_surface(cfg) -> int:
         g2 = g1
     spec = SurfaceSpec(abs(g1) ** 2, abs(g2) ** 2, p=_resolve_power(cfg),
                        grid_n=int(cfg.get("grid", 32)), **_bounds(cfg))
-    _, _, rows, report = run_surface(spec, threads=int(cfg.get("threads", 1)))
+    _, _, rows, report = run_surface(spec)
     code = _finish(rows, cfg)
     sys.stderr.write(
         f"tdm_normalized={report.tdm_normalized:.9g} "

@@ -79,10 +79,19 @@ class GenieConfig3:
 
 # covariance helpers (numpy broadcasting; sigma real >= 0, rho complex) -----
 
-def _var_z_minus_cn(sigma, rho, c):
-    """Var(Z - c N) with E[Z N*] = rho sigma."""
-    return (1.0 + np.abs(c) ** 2 * sigma**2
+def _var_z_minus_cn(sigma, rho, c, s2=None):
+    """Var(Z - c N) with E[Z N*] = rho sigma; s2 is sigma**2 when the
+    caller has it already."""
+    if s2 is None:
+        s2 = sigma**2
+    return (1.0 + np.abs(c) ** 2 * s2
             - 2.0 * np.real(np.conj(c) * rho * sigma))
+
+
+def _var_n_minus_cz(sigma, rho, cp, s2):
+    """Var(N - cp Z) with E[Z N*] = rho sigma and s2 = sigma**2."""
+    return (s2 + np.abs(cp) ** 2
+            - 2.0 * np.real(np.conj(cp) * np.conj(rho) * sigma))
 
 
 def _cond_var(vx, cov_abs2, vy):
@@ -97,24 +106,31 @@ def _cond_var(vx, cov_abs2, vy):
 
 def _v_w(sigma, rho):
     """sigma^2_{W | Z-W}."""
-    vzw = _var_z_minus_cn(sigma, rho, 1.0)
-    cov2 = np.abs(rho * sigma - sigma**2) ** 2
-    return _cond_var(sigma**2, cov2, vzw)
+    return _v_n(sigma, rho, 1.0)
 
 
 def _v_n(sigma, rho, c):
     """sigma^2_{N | Z - c N}."""
-    vz = _var_z_minus_cn(sigma, rho, c)
-    cov2 = np.abs(rho * sigma - c * sigma**2) ** 2
-    return _cond_var(sigma**2, cov2, vz)
+    s2 = sigma**2
+    vz = _var_z_minus_cn(sigma, rho, c, s2)
+    return _cond_var_n(s2, rho * sigma, c, vz)
 
 
 def _v_n_prime(sigma, rho, cp):
     """sigma^2_{Z | N - cp Z}."""
-    vn = (sigma**2 + np.abs(cp) ** 2
-          - 2.0 * np.real(np.conj(cp) * np.conj(rho) * sigma))
-    cov2 = np.abs(rho * sigma - np.conj(cp)) ** 2
-    return _cond_var(1.0, cov2, vn)
+    vn = _var_n_minus_cz(sigma, rho, cp, sigma**2)
+    return _cond_var_z(rho * sigma, cp, vn)
+
+
+def _cond_var_n(s2, rs, c, vz):
+    """_v_n from its parts: s2 = sigma**2, rs = rho*sigma and
+    vz = Var(Z - c N)."""
+    return _cond_var(s2, np.abs(rs - c * s2) ** 2, vz)
+
+
+def _cond_var_z(rs, cp, vn):
+    """_v_n_prime from its parts: rs = rho*sigma, vn = Var(N - cp Z)."""
+    return _cond_var(1.0, np.abs(rs - np.conj(cp)) ** 2, vn)
 
 
 def _star(cv, vzw, coeff2, v_pair):
@@ -170,8 +186,9 @@ def _etkin_rows(channel, sigma, rho, branch):
     h12, h13, h23 = h[0, 1], h[0, 2], h[1, 2]
     a12, a13, a23 = abs(h12) ** 2, abs(h13) ** 2, abs(h23) ** 2
 
-    var_s = a12 * p2 + a13 * p3 + sigma**2
-    cov_ys = np.conj(h12) * p2 + h23 * np.conj(h13) * p3 + rho * sigma
+    s2, rs = sigma**2, rho * sigma
+    var_s = a12 * p2 + a13 * p3 + s2
+    cov_ys = np.conj(h12) * p2 + h23 * np.conj(h13) * p3 + rs
     var_y = p2 + a23 * p3 + 1.0
     var_y_s = _cond_var(var_y, np.abs(cov_ys) ** 2, var_s)
 
@@ -183,8 +200,8 @@ def _etkin_rows(channel, sigma, rho, branch):
             bad = np.full(sigma.shape, False)
             return np.full(sigma.shape, np.inf), bad, bad
         c = h23 / h13
-        neg = _var_z_minus_cn(sigma, rho, c)
-        vpair = _v_n(sigma, rho, c)
+        neg = _var_z_minus_cn(sigma, rho, c, s2)
+        vpair = _cond_var_n(s2, rs, c, neg)
         valid = (vpair >= a13 - FEAS_SLACK) & (vpair <= 1.0 + FEAS_SLACK)
         denom = a13 * p3 + vpair
     elif branch == "second":
@@ -192,9 +209,8 @@ def _etkin_rows(channel, sigma, rho, branch):
             bad = np.full(sigma.shape, False)
             return np.full(sigma.shape, np.inf), bad, bad
         cp = h13 / h23
-        neg = (sigma**2 + np.abs(cp) ** 2
-               - 2.0 * np.real(np.conj(cp) * np.conj(rho) * sigma))
-        vpair = _v_n_prime(sigma, rho, cp)
+        neg = _var_n_minus_cz(sigma, rho, cp, s2)
+        vpair = _cond_var_z(rs, cp, neg)
         valid = (vpair >= a23 - FEAS_SLACK) & (vpair <= 1.0 + FEAS_SLACK)
         denom = a23 * p3 + vpair
     else:
@@ -329,7 +345,7 @@ def _coi_rows(channel, sw, rw):
     total = 0.0
     feasible = np.full(sw.shape[:-1], True)
     vzw = _var_z_minus_cn(sw, rw, 1.0)          # (..., 3)
-    v_w = _v_w(sw, rw)
+    v_w = _cond_var_n(sw**2, rw * sw, 1.0, vzw)
     with np.errstate(invalid="ignore"):
         for u in range(3):
             nxt, prev = (u + 1) % 3, (u + 2) % 3
@@ -504,32 +520,32 @@ def _hybrid_value(channel: Channel, sw, rw, sn, rn, branch: str):
 def _hybrid_value_inner(channel, sw, rw, sn, rn, branch):
     h, p = channel.h, channel.power
     vzw = _var_z_minus_cn(sw, rw, 1.0)
-    v_w = _v_w(sw, rw)
+    v_w = _cond_var_n(sw**2, rw * sw, 1.0, vzw)
     total = 0.0
     feasible = np.full(sw.shape[:-1], True)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
         hab, hac, hbc = h[a, b], h[a, c], h[b, c]
         sb, rb = sn[..., b], rn[..., b]
+        sb2, rsb = sb**2, rb * sb
 
         total = total + math.log2(
             1.0 + p[a] / (abs(hab) ** 2 * p[b] + abs(hac) ** 2 * p[c] + 1.0))
 
-        var_s = abs(hab) ** 2 * p[b] + abs(hac) ** 2 * p[c] + sb**2
-        cov_ys = np.conj(hab) * p[b] + hbc * np.conj(hac) * p[c] + rb * sb
+        var_s = abs(hab) ** 2 * p[b] + abs(hac) ** 2 * p[c] + sb2
+        cov_ys = np.conj(hab) * p[b] + hbc * np.conj(hac) * p[c] + rsb
         var_y_s = _cond_var(p[b] + abs(hbc) ** 2 * p[c] + 1.0,
                             np.abs(cov_ys) ** 2, var_s)
 
         if branch == "I0":
             cgen = hbc / hac if abs(hac) > 1e-15 else np.inf
-            neg = _var_z_minus_cn(sb, rb, cgen)
-            vpair = _v_n(sb, rb, cgen)
+            neg = _var_z_minus_cn(sb, rb, cgen, sb2)
+            vpair = _cond_var_n(sb2, rsb, cgen, neg)
             coeff2 = abs(hac) ** 2
         elif branch == "I1":
             cp = hac / hbc if abs(hbc) > 1e-15 else np.inf
-            neg = (sb**2 + np.abs(cp) ** 2
-                   - 2.0 * np.real(np.conj(cp) * np.conj(rb) * sb))
-            vpair = _v_n_prime(sb, rb, cp)
+            neg = _var_n_minus_cz(sb, rb, cp, sb2)
+            vpair = _cond_var_z(rsb, cp, neg)
             coeff2 = abs(hbc) ** 2
         else:
             raise ValueError(f"unknown branch {branch!r}")
@@ -548,7 +564,7 @@ def _hybrid_value_inner(channel, sw, rw, sn, rn, branch):
 
         # feasibility for this group
         if branch == "I0":
-            feasible &= v_w[..., a] >= sb**2 - FEAS_SLACK
+            feasible &= v_w[..., a] >= sb2 - FEAS_SLACK
             feasible &= vpair >= coeff2 * vzw[..., c] - FEAS_SLACK
         else:
             feasible &= v_w[..., a] >= sw[..., a] ** 2 - FEAS_SLACK

@@ -27,11 +27,11 @@ from .gaussnet import mutual_info
 from .genie3 import (
     NoiseParam,
     _cond_var,
+    _cond_var_n,
     _gauss_inputs,
     _safe_log2,
     _star,
     _tied_param_grid,
-    _v_n,
     _v_w,
     _var_z_minus_cn,
 )
@@ -123,7 +123,7 @@ def _mid_terms(k, g, p, sn, rn):
     a = (k - m + 1) * g2 * p                 # Var of the genie's interference
     rem = (k - m) * g2 * p                   # interference left after X_m
     vzn = _var_z_minus_cn(sn, rn, 1.0)
-    v_n = _v_n(sn, rn, 1.0)
+    v_n = _cond_var_n(sn**2, rn * sn, 1.0, vzn)
     var_y = p + rem + 1.0
     cov = np.conj(g) * p + rem + rn * sn
     var_y_s = _cond_var(var_y, np.abs(cov) ** 2, a + sn**2)
@@ -216,7 +216,7 @@ def _kuser_tied_rows(k, g, p, s, r, hybrid):
     a = (k - m + 1) * g2 * p
     rem = (k - m) * g2 * p
     vzn = _var_z_minus_cn(s, r, 1.0)
-    v_n = _v_n(s, r, 1.0)
+    v_n = _cond_var_n(s**2, r * s, 1.0, vzn)
     cov = np.conj(g) * p + rem + (r * s)[:, None]
     var_y_s = _cond_var(p + rem + 1.0, np.abs(cov) ** 2, a + s2)
     with np.errstate(invalid="ignore"):
@@ -230,7 +230,7 @@ def _kuser_tied_rows(k, g, p, s, r, hybrid):
             feasible = np.full(s.shape, g2 <= 1.0 + FEAS_SLACK)
             feasible &= v_n >= g2 - FEAS_SLACK
         else:
-            v_w = _v_w(s, r)
+            v_w = v_n   # W and N share the tied (sigma, rho)
             cw = r * s - s**2
             cv = _cond_var(p + vzn, np.abs(cw) ** 2, b + s**2)
             star = _star(cv, vzn, g2, v_n)

@@ -6,7 +6,7 @@ k,field,p_linear,g1_re,g1_im,g2_re,g2_im,axis,axis_value,bound,sum_rate_bits,nor
 with the g2 columns left empty for symmetric runs and all numbers printed to
 9 significant digits.  Re-running a command with the same configuration
 yields byte-identical files (grid-major, bound-name-minor row order, also
-under a thread pool).
+when a sweep runs on a thread pool).
 """
 
 from __future__ import annotations
@@ -192,7 +192,13 @@ def _torus_extrema(values):
 
 def run_surface(spec: SurfaceSpec, threads: int = 1):
     """Best-upper surface over the two cross-gain phases plus extremum
-    diagnostics.  Returns (phases, values, rows, report)."""
+    diagnostics.  Returns (phases, values, rows, report).
+
+    The cells are evaluated one after another in the calling thread.
+    ``threads`` is accepted for existing callers and has no effect: each
+    cell is a small, GIL-bound Etkin search, and a thread pool made the
+    surface slower (the threads take turns on the GIL, and every thread's
+    freed temporaries go back to the OS and fault in again)."""
     phis = spec.phases()
     n = spec.grid_n
     m1, m2 = math.sqrt(spec.mag2_1), math.sqrt(spec.mag2_2)
@@ -216,12 +222,7 @@ def run_surface(spec: SurfaceSpec, threads: int = 1):
         row["bound"] = "best_upper"
         return row
 
-    idxs = range(n * n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_point, idxs))
-    else:
-        rows = [eval_point(i) for i in idxs]
+    rows = [eval_point(i) for i in range(n * n)]
 
     values = np.array([r["normalized"] for r in rows], dtype=float).reshape(n, n)
 
@@ -319,7 +320,7 @@ def reproduce(figure_id: str, outdir: str, threads: int = 1) -> list[str]:
                  if figure_id == "fig6" else [(0.3, 0.7)])
         for m1, m2 in cases:
             spec = SurfaceSpec(m1, m2, p=10.0, grid_n=32)
-            _, _, rows, _ = run_surface(spec, threads)
+            _, _, rows, _ = run_surface(spec)
             emit(f"{figure_id}_{m1:g}_{m2:g}.csv", rows)
     elif figure_id == "fig11":
         for k in (3, 5, 10, 100):

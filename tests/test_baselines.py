@@ -7,6 +7,7 @@ import pytest
 
 from gicbounds import baselines as bl
 from gicbounds.channel import make_semi_symmetric, make_symmetric
+from gicbounds.sweep import SweepSpec, _point_params
 
 from helpers_oracles import build_system
 from gicbounds.gaussnet import mutual_info
@@ -115,6 +116,32 @@ def test_lower_bound_snd_minimizer():
     assert lb.snd == pytest.approx(min(cands), abs=1e-12)
     # the full-set decoder wins at this strong gain
     assert lb.snd == pytest.approx(cands[2], abs=1e-12)
+
+
+def _snd_by_loop(k, g, p):
+    """The O(K) definition: the minimum over every decoded-set size s."""
+    g2 = abs(g) ** 2
+    return min(math.log2(1.0 + p + (s - 1) * g2 * p) / s
+               for s in range(1, k + 1))
+
+
+def test_lower_bound_snd_endpoints_equal_the_full_loop():
+    rng = np.random.default_rng(2015)
+    cases = [(int(k), math.sqrt(g2), p) for k, g2, p in zip(
+        rng.integers(1, 401, 1500), 10.0 ** rng.uniform(-3, 2, 1500),
+        10.0 ** rng.uniform(-3, 5, 1500))]
+    cases += [(k, math.sqrt(g2), p) for k in (1000, 44018, 100000)
+              for g2 in (0.05, 4.0) for p in (0.1, 1e4)]
+    cases.append((2, 0.5 + 0.5j, 10.0))
+    # grid points of the large-K figures, resolved as the sweeps resolve them
+    specs = [SweepSpec("snr_db", 0.0, 60.0, 1.0, k=1000, p=10.0,
+                       g=math.sqrt(g2v)) for g2v in (1.1, 0.7, 1.5)]
+    specs += [SweepSpec("g2", 0.5, 1.5, 0.5, k=100000, p=p, g=1.0)
+              for p in (5.0, 100.0)]
+    cases += [_point_params(spec, float(x)) for spec in specs
+              for x in spec.grid()]
+    for k, g, p in cases:
+        assert bl.lower_bounds(k, g, p).snd == _snd_by_loop(k, g, p), (k, g, p)
 
 
 def test_best_result_tie_breaks_by_name():

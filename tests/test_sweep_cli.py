@@ -226,6 +226,7 @@ def test_cli_bad_config_exit_2():
     ("largek", "--grid", "8"),
     ("largek", "--threads", "2"),
     ("reproduce", "fig1", "--g", "0.5"),
+    ("surface", "--grid", "8", "--threads", "2"),
 ])
 def test_cli_rejects_flags_the_verb_does_not_read(argv):
     code, out, _ = run_cli(*argv)
