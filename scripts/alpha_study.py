@@ -2,8 +2,9 @@
 """Where do the new genie bounds beat the prior-art bounds?
 
 Sweeps alpha = log INR / log SNR for the three-user symmetric real channel
-and prints the interval where min(change-of-interference, Etkin-type,
-hybrid) is strictly below every baseline upper bound.
+and prints the interval where the bound table's ``new_min`` (change of
+interference, Etkin-type, hybrid) is strictly below every prior-art bound:
+the ``best_upper`` members that are not ``new_min`` members.
 
 Usage: python scripts/alpha_study.py [--p 10] [--start -1] [--stop 2] [--step 0.05]
 """
@@ -13,8 +14,11 @@ import math
 import sys
 
 from gicbounds import baselines as bl
-from gicbounds import genie3 as g3
+from gicbounds.bounds import Point, bound
 from gicbounds.channel import alpha_to_gain, make_symmetric
+
+PRIOR_ART = [m for m in bound("best_upper").members
+             if m not in bound("new_min").members]
 
 
 def main() -> int:
@@ -32,11 +36,10 @@ def main() -> int:
     a = args.start
     while a <= args.stop + 1e-9:
         g = math.sqrt(alpha_to_gain(a, p))
-        ch = make_symmetric(3, g, p)
-        new = g3.new_minimum_three(ch)
-        base = bl.best_result([
-            bl.kramer_two_user(p, g, 3), bl.etw_two_user(p, g, 3),
-            bl.gen_kramer_three(ch), bl.z_extension_three(ch)])
+        pt = Point.of(make_symmetric(3, g, p))
+        new = pt.evaluate("new_min")
+        base = bl.best_result([pt.evaluate(m) for m in PRIOR_ART
+                               if pt.applies(m)])
         low = bl.lower_bounds(3, g, p).normalized("best")
         strict = new.normalized < base.normalized - 1e-9
         mark = "*new*" if strict else base.name

@@ -19,8 +19,15 @@ symmetric simplifications below assume; V is a fresh Gaussian at the
 relevant conditional variance and V~ its rescaling by the pairing
 coefficient, both defined per family below.
 
-All parameter searches are deterministic grids with one local refinement
-(and a golden-section polish for the 1-D symmetric reductions).
+Every optimizer takes the minimum over the user orderings that can give
+distinct values (``_best_over_orderings``), and searches each ordering with
+one of the deterministic searches of ``_optim``: the Etkin-type bound, and
+the change-of-interference bound on symmetric channels (tied parameters),
+by one grid scan and a finer scan around its argmin (``scan_then_zoom``);
+the change-of-interference and hybrid bounds on other channels by one
+block coordinate descent over their (sigma, rho) pairs
+(``coordinate_descent``), which is not global.  The symmetric hybrid
+reduction is two 1-D golden-section searches.
 """
 
 from __future__ import annotations
@@ -31,18 +38,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import by_rows, grid_then_golden
-from .baselines import FEAS_SLACK, BoundResult, best_result
+from ._optim import (
+    PHASE_POINTS,
+    RHO_POINTS,
+    SIGMA_POINTS,
+    by_rows,
+    coordinate_descent,
+    grid_then_golden,
+    scan_then_zoom,
+    tied_grid,
+)
+from .baselines import FEAS_SLACK, BoundResult
 # perfbench/selfcheck.py checks that its span wrapper reaches this name too
 from .baselines import gen_kramer_three  # noqa: F401
 from .channel import Channel
 from .gaussnet import COMPLEX, GaussianSystem, correlated_pair, mutual_info
 
 _EPS = 1e-12
-
-SIGMA_POINTS = 101
-RHO_POINTS = 101
-PHASE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -106,30 +118,19 @@ def _cond_var(vx, cov_abs2, vy):
 
 def _v_w(sigma, rho):
     """sigma^2_{W | Z-W}."""
-    return _v_n(sigma, rho, 1.0)
-
-
-def _v_n(sigma, rho, c):
-    """sigma^2_{N | Z - c N}."""
     s2 = sigma**2
-    vz = _var_z_minus_cn(sigma, rho, c, s2)
-    return _cond_var_n(s2, rho * sigma, c, vz)
-
-
-def _v_n_prime(sigma, rho, cp):
-    """sigma^2_{Z | N - cp Z}."""
-    vn = _var_n_minus_cz(sigma, rho, cp, sigma**2)
-    return _cond_var_z(rho * sigma, cp, vn)
+    return _cond_var_n(s2, rho * sigma, 1.0,
+                       _var_z_minus_cn(sigma, rho, 1.0, s2))
 
 
 def _cond_var_n(s2, rs, c, vz):
-    """_v_n from its parts: s2 = sigma**2, rs = rho*sigma and
+    """sigma^2_{N | Z - c N} from s2 = sigma**2, rs = rho*sigma and
     vz = Var(Z - c N)."""
     return _cond_var(s2, np.abs(rs - c * s2) ** 2, vz)
 
 
 def _cond_var_z(rs, cp, vn):
-    """_v_n_prime from its parts: rs = rho*sigma, vn = Var(N - cp Z)."""
+    """sigma^2_{Z | N - cp Z} from rs = rho*sigma and vn = Var(N - cp Z)."""
     return _cond_var(1.0, np.abs(rs - np.conj(cp)) ** 2, vn)
 
 
@@ -151,6 +152,15 @@ def _perm_channel(channel: Channel, perm) -> Channel:
     if tuple(perm) == tuple(range(channel.k)):
         return channel
     return channel.permuted(perm)
+
+
+def _complex_params(channel: Channel) -> bool:
+    """Whether the genie correlations range over the complex disc."""
+    return channel.field == COMPLEX and bool(np.any(channel.h.imag != 0))
+
+
+def _noise_params(sigmas, rhos) -> tuple:
+    return tuple(NoiseParam(float(s), complex(r)) for s, r in zip(sigmas, rhos))
 
 
 def _gauss_inputs(channel: Channel):
@@ -252,14 +262,6 @@ def etkin_bound(channel: Channel, n2: NoiseParam, branch: str = "first",
     return BoundResult.make("etkin3", 3, v, params, tuple(perm))
 
 
-def _rho_grid(complex_params: bool, n_rho=RHO_POINTS, n_phase=PHASE_POINTS):
-    if complex_params:
-        mags = np.linspace(0.0, 1.0, n_rho)
-        phases = np.arange(n_phase) * (2.0 * np.pi / n_phase)
-        return (mags[:, None] * np.exp(1j * phases)[None, :]).ravel()
-    return np.linspace(-1.0, 1.0, 2 * n_rho - 1).astype(complex)
-
-
 def _perm_classes(channel: Channel):
     """Orderings that can give distinct bounds: symmetric channels need one,
     circulant (semi-symmetric) channels two (cyclic shifts are relabelings),
@@ -271,63 +273,49 @@ def _perm_classes(channel: Channel):
     return list(itertools.permutations(range(3)))
 
 
-def _etkin_scan(channel, branch, rho_grid, sigmas):
-    sig = np.repeat(sigmas, len(rho_grid))
-    rho = np.tile(rho_grid, len(sigmas))
-    value, valid, degenerate = _etkin_terms(channel, sig, rho, branch)
+def _best_over_orderings(name: str, channel: Channel, search) -> BoundResult:
+    """Smallest finite value that search(relabeled channel) yields over the
+    orderings of _perm_classes; search yields (value, params) candidates,
+    and of equal values the earliest wins."""
+    if channel.k != 3:
+        raise ValueError("three-user bound")
+    best = BoundResult.infeasible(name, 3)
+    for perm in _perm_classes(channel):
+        for val, params in search(_perm_channel(channel, perm)):
+            if math.isfinite(val) and val < best.sum_rate:
+                best = BoundResult.make(name, 3, val, params, tuple(perm))
+    return best
+
+
+def _etkin_values(channel, branch, sigma, rho):
+    """_etkin_terms with invalid entries at inf and the entries that need
+    the exact cancellation resolved through the kernel."""
+    value, valid, degenerate = _etkin_terms(channel, sigma, rho, branch)
     value = np.where(valid, value, np.inf)
     fix = np.nonzero(valid & (degenerate | ~np.isfinite(value)))[0]
     for i in fix:
-        value[i] = _etkin_kernel_value(channel, float(sig[i]), complex(rho[i]))
-    i = int(np.argmin(value))
-    return float(value[i]), float(sig[i]), complex(rho[i])
+        value[i] = _etkin_kernel_value(channel, float(sigma[i]),
+                                       complex(rho[i]))
+    return value
 
 
-def etkin_optimize(channel: Channel, perms=None,
+def etkin_optimize(channel: Channel,
                    resolution=(SIGMA_POINTS, RHO_POINTS, PHASE_POINTS)
                    ) -> BoundResult:
     """Grid-optimized Etkin-type bound over both validity branches and the
-    user orderings (the distinct relabeling classes by default), with one
-    local 10x refinement around the incumbent.  resolution gives the
-    (sigma, |rho|, phase) grid sizes; surfaces pass a coarser profile."""
-    if channel.k != 3:
-        raise ValueError("three-user bound")
-    if perms is None:
-        perms = _perm_classes(channel)
-    n_sigma, n_rho, n_phase = resolution
-    complex_params = channel.field == COMPLEX and np.any(channel.h.imag != 0)
-    best = BoundResult.infeasible("etkin3", 3)
-    for perm in perms:
-        ch = _perm_channel(channel, perm)
+    distinct user orderings: a scan of the (sigma, |rho|, phase) grid of the
+    given resolution, then a finer scan around its argmin.  Surfaces pass
+    a coarser resolution."""
+    complex_params = _complex_params(channel)
+
+    def search(ch):
         for branch in ("first", "second"):
-            rho_grid = _rho_grid(complex_params, n_rho, n_phase)
-            sigmas = np.linspace(0.0, 1.0, n_sigma)
-            val, s0, r0 = _etkin_scan(channel=ch, branch=branch,
-                                      rho_grid=rho_grid, sigmas=sigmas)
-            if math.isfinite(val):
-                # one 10x local refinement around the incumbent
-                ds = 1.0 / (n_sigma - 1)
-                sig2 = np.clip(np.linspace(s0 - ds, s0 + ds, 21), 0.0, 1.0)
-                if complex_params:
-                    dm, dp = 1.0 / (n_rho - 1), 2 * np.pi / n_phase
-                    m0, ph0 = abs(r0), np.angle(r0)
-                    mags = np.clip(np.linspace(m0 - dm, m0 + dm, 11), 0, 1)
-                    phs = np.linspace(ph0 - dp, ph0 + dp, 11)
-                    rho2 = (mags[:, None] * np.exp(1j * phs)[None, :]).ravel()
-                else:
-                    dr = 1.0 / (n_rho - 1)
-                    rho2 = np.clip(
-                        np.linspace(r0.real - dr, r0.real + dr, 21), -1, 1
-                    ).astype(complex)
-                val2, s2, r2 = _etkin_scan(ch, branch, rho2, sig2)
-                if val2 < val:
-                    val, s0, r0 = val2, s2, r2
-            if math.isfinite(val):
-                cand = BoundResult.make(
-                    "etkin3", 3, val,
-                    {"sigma": s0, "rho": r0, "branch": branch}, tuple(perm))
-                best = best_result([best, cand])
-    return best
+            val, sigma, rho = scan_then_zoom(
+                lambda s, r: _etkin_values(ch, branch, s, r),
+                complex_params, resolution, (21, 11))
+            yield val, {"sigma": sigma, "rho": rho, "branch": branch}
+
+    return _best_over_orderings("etkin3", channel, search)
 
 
 # change-of-interference bound ----------------------------------------------
@@ -381,37 +369,24 @@ def coi_bound(channel: Channel, w_params, perm=(0, 1, 2)) -> BoundResult:
     return BoundResult.make("coi3", 3, float(value[0]), params, tuple(perm))
 
 
-def _tied_param_grid(complex_params: bool, n_sigma=SIGMA_POINTS,
-                     n_rho=RHO_POINTS, n_phase=PHASE_POINTS):
-    sig = np.linspace(0.0, 1.0, n_sigma)
-    rho = (_rho_grid(complex_params) if complex_params
-           else np.linspace(-1.0, 1.0, 2 * n_rho - 1).astype(complex))
-    s = np.repeat(sig, len(rho))
-    r = np.tile(rho, len(sig))
-    return s, r
+def coi_optimize(channel: Channel) -> BoundResult:
+    """Optimized change-of-interference bound: a tied (sigma, rho) scan,
+    finer scan and boundary bisection for symmetric channels, a coordinate
+    descent over the three users' pairs for the others."""
+    complex_params = _complex_params(channel)
+    if channel.symmetric_gain() is not None:
+        return _best_over_orderings(
+            "coi3", channel, lambda ch: [_coi_tied_search(ch, complex_params)])
+    grid = tied_grid(complex_params, (41, 21, 16))
+    blocks = [(0, (u,)) for u in range(3)]
 
+    def search(ch):
+        val, (sw, rw) = coordinate_descent(
+            lambda sw, rw: _coi_value(ch, sw, rw)[0],
+            (np.full(3, 0.6), np.zeros(3, dtype=complex)), blocks, *grid)
+        yield val, {"w": _noise_params(sw, rw)}
 
-def coi_optimize(channel: Channel, perms=None) -> BoundResult:
-    """Optimized change-of-interference bound: tied (sigma, rho) grid with a
-    10x refinement for symmetric channels, coordinate descent per user for
-    general ones."""
-    if channel.k != 3:
-        raise ValueError("three-user bound")
-    symmetric = channel.symmetric_gain() is not None
-    if perms is None:
-        perms = _perm_classes(channel)
-    complex_params = channel.field == COMPLEX and np.any(channel.h.imag != 0)
-    best = BoundResult.infeasible("coi3", 3)
-    for perm in perms:
-        ch = _perm_channel(channel, perm)
-        if symmetric:
-            val, wopt = _coi_tied_search(ch, complex_params)
-        else:
-            val, wopt = _coi_coordinate_descent(ch, complex_params)
-        if math.isfinite(val):
-            cand = BoundResult.make("coi3", 3, val, {"w": wopt}, tuple(perm))
-            best = best_result([best, cand])
-    return best
+    return _best_over_orderings("coi3", channel, search)
 
 
 def _coi_eval_tied(ch, s, r):
@@ -450,55 +425,15 @@ def _coi_boundary_polish(ch, s0, r0, v0, dr):
 
 
 def _coi_tied_search(ch, complex_params):
-    s, r = _tied_param_grid(complex_params)
-    value, _ = _coi_eval_tied(ch, s, r)
-    i = int(np.argmin(value))
-    v0, s0, r0 = float(value[i]), float(s[i]), complex(r[i])
-    if not math.isfinite(v0):
-        return v0, None
-    ds = 1.0 / (SIGMA_POINTS - 1)
-    sig2 = np.clip(np.linspace(s0 - ds, s0 + ds, 15), 0.0, 1.0)
-    if complex_params:
-        dm, dp = 1.0 / (RHO_POINTS - 1), 2 * np.pi / PHASE_POINTS
-        mags = np.clip(np.linspace(abs(r0) - dm, abs(r0) + dm, 9), 0, 1)
-        phs = np.linspace(np.angle(r0) - dp, np.angle(r0) + dp, 9)
-        rho2 = (mags[:, None] * np.exp(1j * phs)[None, :]).ravel()
-    else:
-        dr = 1.0 / (RHO_POINTS - 1)
-        rho2 = np.clip(np.linspace(r0.real - dr, r0.real + dr, 15),
-                       -1, 1).astype(complex)
-    s2 = np.repeat(sig2, len(rho2))
-    r2 = np.tile(rho2, len(sig2))
-    value2, _ = _coi_value(ch, np.stack([s2] * 3, -1), np.stack([r2] * 3, -1))
-    j = int(np.argmin(value2))
-    if value2[j] < v0:
-        v0, s0, r0 = float(value2[j]), float(s2[j]), complex(r2[j])
-    if not complex_params:
+    v0, s0, r0 = scan_then_zoom(lambda s, r: _coi_eval_tied(ch, s, r)[0],
+                                complex_params,
+                                (SIGMA_POINTS, RHO_POINTS, PHASE_POINTS),
+                                (15, 9))
+    if math.isfinite(v0) and not complex_params:
         v0, s0, r0 = _coi_boundary_polish(ch, s0, r0, v0,
                                           2.0 / (RHO_POINTS - 1))
     w = NoiseParam(min(s0, 1.0), r0)
-    return v0, (w, w, w)
-
-
-def _coi_coordinate_descent(ch, complex_params, sweeps=3):
-    sw = np.full(3, 0.6)
-    rw = np.zeros(3, dtype=complex)
-    s_grid, r_grid = _tied_param_grid(complex_params, 41, 21, 16)
-    val = np.inf
-    for _ in range(sweeps):
-        for u in range(3):
-            sw_t = np.repeat(sw[None, :], len(s_grid), axis=0)
-            rw_t = np.repeat(rw[None, :], len(s_grid), axis=0)
-            sw_t[:, u] = s_grid
-            rw_t[:, u] = r_grid
-            values, _ = _coi_value(ch, sw_t, rw_t)
-            i = int(np.argmin(values))
-            if values[i] < val:
-                val = float(values[i])
-                sw[u], rw[u] = s_grid[i], r_grid[i]
-    if not math.isfinite(val):
-        return val, None
-    return val, tuple(NoiseParam(float(sw[u]), complex(rw[u])) for u in range(3))
+    return v0, {"w": (w, w, w)}
 
 
 # hybrid bound ---------------------------------------------------------------
@@ -592,63 +527,26 @@ def hybrid_bound(channel: Channel, cfg: GenieConfig3, branch: str = "I0",
     return BoundResult.make("hybrid3", 3, float(value[0]), params, tuple(perm))
 
 
-def hybrid_optimize(channel: Channel, perms=None, sweeps=3) -> BoundResult:
-    """Coordinate-descent search over the six (sigma, rho) pairs (tied W and
-    tied N blocks alternated, then per-user touch-up); non-global by design,
-    documented as such.  Symmetric channels are better served by
-    hybrid_symmetric_bound."""
-    if channel.k != 3:
-        raise ValueError("three-user bound")
-    if perms is None:
-        perms = _perm_classes(channel)
-    complex_params = channel.field == COMPLEX and np.any(channel.h.imag != 0)
-    s_grid, r_grid = _tied_param_grid(complex_params, 33, 17, 16)
-    best = BoundResult.infeasible("hybrid3", 3)
-    for perm in perms:
-        ch = _perm_channel(channel, perm)
+def hybrid_optimize(channel: Channel) -> BoundResult:
+    """Coordinate descent over the six (sigma, rho) pairs, per validity
+    branch and distinct user ordering: the tied W and tied N blocks, then
+    each user's W and N pair alone.  Not global; symmetric channels are
+    better served by hybrid_symmetric_bound."""
+    grid = tied_grid(_complex_params(channel), (33, 17, 16))
+    blocks = [(0, range(3)), (1, range(3))] + [
+        (group, (u,)) for group in (0, 1) for u in range(3)]
+    start = (np.full(3, 1.0), np.full(3, 0.5, dtype=complex),
+             np.full(3, 0.7), np.full(3, 0.5, dtype=complex))
+
+    def search(ch):
         for branch in ("I0", "I1"):
-            val, cfg = _hybrid_cd(ch, branch, s_grid, r_grid, sweeps)
-            if math.isfinite(val):
-                cand = BoundResult.make("hybrid3", 3, val,
-                                        {"cfg": cfg, "branch": branch},
-                                        tuple(perm))
-                best = best_result([best, cand])
-    return best
+            val, (sw, rw, sn, rn) = coordinate_descent(
+                lambda *a: _hybrid_value(ch, *a, branch)[0],
+                start, blocks, *grid)
+            cfg = GenieConfig3(_noise_params(sw, rw), _noise_params(sn, rn))
+            yield val, {"cfg": cfg, "branch": branch}
 
-
-def _hybrid_cd(ch, branch, s_grid, r_grid, sweeps):
-    n = len(s_grid)
-    sw = np.full(3, 1.0)
-    rw = np.full(3, 0.5, dtype=complex)
-    sn = np.full(3, 0.7)
-    rn = np.full(3, 0.5, dtype=complex)
-    val = np.inf
-    blocks = [("w", None), ("n", None)] + [("w", u) for u in range(3)] \
-        + [("n", u) for u in range(3)]
-    for _ in range(sweeps):
-        for kind, user in blocks:
-            sw_t = np.repeat(sw[None, :], n, 0)
-            rw_t = np.repeat(rw[None, :], n, 0)
-            sn_t = np.repeat(sn[None, :], n, 0)
-            rn_t = np.repeat(rn[None, :], n, 0)
-            cols = range(3) if user is None else [user]
-            for u in cols:
-                if kind == "w":
-                    sw_t[:, u], rw_t[:, u] = s_grid, r_grid
-                else:
-                    sn_t[:, u], rn_t[:, u] = s_grid, r_grid
-            values, _ = _hybrid_value(ch, sw_t, rw_t, sn_t, rn_t, branch)
-            i = int(np.argmin(values))
-            if values[i] < val:
-                val = float(values[i])
-                sw, rw = sw_t[i].copy(), rw_t[i].copy()
-                sn, rn = sn_t[i].copy(), rn_t[i].copy()
-    if not math.isfinite(val):
-        return val, None
-    cfg = GenieConfig3(
-        tuple(NoiseParam(float(sw[u]), complex(rw[u])) for u in range(3)),
-        tuple(NoiseParam(float(sn[u]), complex(rn[u])) for u in range(3)))
-    return val, cfg
+    return _best_over_orderings("hybrid3", channel, search)
 
 
 # symmetric simplification (two 1-D minimizations) ---------------------------

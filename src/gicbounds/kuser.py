@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import by_rows
+from ._optim import by_rows, tied_grid
 from .baselines import (
     FEAS_SLACK,
     BoundResult,
@@ -31,7 +31,6 @@ from .genie3 import (
     _gauss_inputs,
     _safe_log2,
     _star,
-    _tied_param_grid,
     _v_w,
     _var_z_minus_cn,
 )
@@ -244,9 +243,8 @@ def _kuser_tied_rows(k, g, p, s, r, hybrid):
     return value, feasible
 
 
-def _tied_optimize(k, g, p, evaluator, hybrid, n_sigma=51, n_rho=51):
-    complex_params = complex(g).imag != 0.0
-    s_grid, r_grid = _tied_param_grid(complex_params, n_sigma, n_rho, 16)
+def _tied_optimize(k, g, p, evaluator, hybrid):
+    s_grid, r_grid = tied_grid(complex(g).imag != 0.0, (51, 51, 16))
     values, _ = _kuser_tied_values(k, g, p, s_grid, r_grid, hybrid)
     i = int(np.argmin(values))
     candidates = []
@@ -261,12 +259,12 @@ def _tied_optimize(k, g, p, evaluator, hybrid, n_sigma=51, n_rho=51):
                        + [BoundResult.infeasible(name, k)])
 
 
-def kuser_weak_optimize(k, g, p, **kw) -> BoundResult:
-    return _tied_optimize(k, g, p, kuser_weak_bound, hybrid=False, **kw)
+def kuser_weak_optimize(k, g, p) -> BoundResult:
+    return _tied_optimize(k, g, p, kuser_weak_bound, hybrid=False)
 
 
-def kuser_hybrid_optimize(k, g, p, **kw) -> BoundResult:
-    return _tied_optimize(k, g, p, kuser_hybrid_bound, hybrid=True, **kw)
+def kuser_hybrid_optimize(k, g, p) -> BoundResult:
+    return _tied_optimize(k, g, p, kuser_hybrid_bound, hybrid=True)
 
 
 # closed forms ---------------------------------------------------------------
@@ -334,13 +332,18 @@ def closed_form_strong_search(k: int, g, p: float) -> BoundResult:
         return BoundResult.infeasible("cf_strong", k)
     g = complex(g)
     m = np.arange(2, k, dtype=float)
-    w = (g2 ** (-gammas))[:, None]
-    amp = (abs(1.0 - g) ** 2 * p
-           / (1.0 - g2 ** (-(gammas - 1.0))))[:, None]
-    body = np.log2(1.0 + amp * ((m - 1.0) * p + w) / (m[None, :] * p + w))
-    values = (math.log2(1.0 + p / ((k - 1) * g2 * p + 1.0))
-              + np.log2(1.0 + (k - 1) * g2**gammas * p)
-              + np.sum(body, axis=1))
+
+    def rows(gammas):
+        w = (g2 ** (-gammas))[:, None]
+        amp = (abs(1.0 - g) ** 2 * p
+               / (1.0 - g2 ** (-(gammas - 1.0))))[:, None]
+        body = np.log2(1.0 + amp * ((m - 1.0) * p + w) / (m[None, :] * p + w))
+        return (math.log2(1.0 + p / ((k - 1) * g2 * p + 1.0))
+                + np.log2(1.0 + (k - 1) * g2**gammas * p)
+                + np.sum(body, axis=1)),
+
+    # each gamma row holds K - 2 cells, so blocking keeps memory O(K)
+    values, = by_rows(rows, (gammas,), k - 2)
     i = int(np.argmin(values))
     return BoundResult.make("cf_strong", k, float(values[i]),
                             {"gamma": float(gammas[i])})

@@ -3,12 +3,11 @@
 Each oracle rebuilds the bound's entropy ledger from scratch through the
 Gaussian kernel (entropies / mutual informations of explicitly constructed
 variables) rather than through the closed covariance formulas, so agreement
-is a genuine two-path check.
+is a genuine two-path check.  The conditional variances of the worst-noise
+penalty terms come from the constructed variables too (``cond_var``).
 """
 
 import math
-
-import numpy as np
 
 from gicbounds.gaussnet import (
     COMPLEX,
@@ -17,7 +16,6 @@ from gicbounds.gaussnet import (
     entropy,
     mutual_info,
 )
-from gicbounds import genie3 as g3
 
 
 def build_system(channel):
@@ -32,6 +30,15 @@ def build_system(channel):
                 y = y + xs[t] * complex(channel.h[r, t])
         ys.append(y)
     return sysm, xs, zs, ys
+
+
+def cond_var(a, b):
+    """Var(a | b) = Var(a) - |Cov(a, b)|^2 / Var(b) of two kernel variables;
+    conditioning on an (almost) deterministic b is vacuous."""
+    vb = b.variance
+    if vb <= 1e-12:
+        return a.variance
+    return a.variance - abs(a.cov(b)) ** 2 / vb
 
 
 def etkin_oracle(channel, sigma, rho):
@@ -56,8 +63,7 @@ def coi_oracle(channel, w_params):
         total += entropy([red + ws[u]]) - entropy([zs[u] - ws[u]])
         coeff2 = abs(h[prev, u]) ** 2
         vzw = (zs[u] - ws[u]).variance
-        v_w_prev = float(g3._v_w(w_params[prev].sigma,
-                                 complex(w_params[prev].rho)))
+        v_w_prev = cond_var(ws[prev], zs[prev] - ws[prev])
         vt = sysm.gaussian(math.sqrt(max(0.0, v_w_prev / coeff2 - vzw)))
         lead = xs[u] + zs[u] - ws[u]
         ucond = red + ws[u]
@@ -84,13 +90,12 @@ def hybrid_oracle(channel, cfg, branch):
         if branch == "I0":
             cgen = hbc / hac
             neg = entropy([zs[b] - ns[b] * complex(cgen)])
-            vpair = float(g3._v_n(cfg.n[b].sigma, complex(cfg.n[b].rho), cgen))
+            vpair = cond_var(ns[b], zs[b] - ns[b] * complex(cgen))
             coeff2 = abs(hac) ** 2
         else:
             cp = hac / hbc
             neg = entropy([ns[b] - zs[b] * complex(cp)])
-            vpair = float(g3._v_n_prime(cfg.n[b].sigma,
-                                        complex(cfg.n[b].rho), cp))
+            vpair = cond_var(zs[b], ns[b] - zs[b] * complex(cp))
             coeff2 = abs(hbc) ** 2
         total += entropy([s_b]) - neg
         total += entropy([ys[b], xs[a], s_b]) - entropy([xs[a], s_b])
@@ -101,8 +106,7 @@ def hybrid_oracle(channel, cfg, branch):
                   - (entropy([lead + vt, u_c]) - entropy([u_c]))
                   - math.log2(coeff2))
         cross = xs[a] * complex(h[c, a]) + xs[b] * complex(h[c, b])
-        vwc = sysm.gaussian(math.sqrt(float(
-            g3._v_w(cfg.w[c].sigma, complex(cfg.w[c].rho)))))
+        vwc = sysm.gaussian(math.sqrt(cond_var(ws[c], zs[c] - ws[c])))
         total += entropy([cross + ws[c]]) - entropy([cross + vwc]) \
             - entropy([zs[c] - ws[c]])
     return total / 3.0
@@ -136,11 +140,10 @@ def kuser_hybrid_oracle(k, g, p, cfg):
     sysm, xs, zs, ys = build_system(ch)
     g2 = abs(complex(g)) ** 2
     val = mutual_info([xs[0]], [ys[0]])
-    n_last = None
     for m in range(1, k - 1):
         nm = correlated_pair(cfg.n[m - 1].sigma, complex(cfg.n[m - 1].rho),
                              zs[m])
-        n_last = (cfg.n[m - 1], nm)
+        vpair = cond_var(nm, zs[m] - nm)   # the last one pairs below
         sm = nm
         for i in range(k):
             if i != m - 1:
@@ -152,7 +155,6 @@ def kuser_hybrid_oracle(k, g, p, cfg):
         u_k = u_k + xs[i] * complex(g)
     cross = u_k - wk
     vzw = (zs[k - 1] - wk).variance
-    vpair = float(g3._v_n(n_last[0].sigma, complex(n_last[0].rho), 1.0))
     # the conditional worst-noise pair consumes the g X_K + V_N entropy that
     # the last chain mutual information above already subtracted
     v_n_fresh = sysm.gaussian(math.sqrt(vpair))
@@ -161,8 +163,7 @@ def kuser_hybrid_oracle(k, g, p, cfg):
     lead = xs[k - 1] + zs[k - 1] - wk
     val += (entropy([lead, u_k]) - entropy([u_k])
             - (entropy([lead + vt, u_k]) - entropy([u_k])) - math.log2(g2))
-    vwk = sysm.gaussian(math.sqrt(float(
-        g3._v_w(cfg.wk.sigma, complex(cfg.wk.rho)))))
+    vwk = sysm.gaussian(math.sqrt(cond_var(wk, zs[k - 1] - wk)))
     val += entropy([cross + wk]) - entropy([cross + vwk]) \
         - entropy([zs[k - 1] - wk])
     return val

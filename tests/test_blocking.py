@@ -20,10 +20,9 @@ def _grid(field):
     """Tied (sigma, rho) grid of 9 x 17 (real) or 9 x 15 (complex) points:
     an odd count that 7 does not divide, so blocks of 2 and of 7 rows leave
     a short last block."""
-    rho = (g3._rho_grid(True, 3, 5) if field == "complex"
-           else g3._rho_grid(False, 9))
-    sig = np.linspace(0.0, 1.0, 9)
-    return np.repeat(sig, len(rho)), np.tile(rho, len(sig))
+    rho = (_optim.rho_axis(True, 3, 5) if field == "complex"
+           else _optim.rho_axis(False, 9))
+    return _optim.pairs(np.linspace(0.0, 1.0, 9), rho)
 
 
 def _per_user(field, n, seed):
@@ -54,7 +53,15 @@ def _objectives(field):
             calls[f"kuser_{k}_{hybrid}"] = (
                 lambda k=k, hybrid=hybrid:
                 ku._kuser_tied_values(k, g, 10.0, s, r, hybrid))
+        # the gamma scan of the strong closed form: rows of K - 2 cells
+        calls[f"cf_strong_{k}"] = lambda k=k: _strong(k, 1.5 * g)
     return calls
+
+
+def _strong(k, g):
+    res = ku.closed_form_strong_search(k, g, 10.0)
+    assert res.feasible
+    return res.sum_rate, res.params["gamma"]
 
 
 def _same_bits(a, b):

@@ -199,6 +199,18 @@ def test_tied_search_memory_does_not_grow_with_grid_times_k(optimize):
     assert peak < 64 * 2**20
 
 
+def test_strong_gamma_scan_memory_is_linear_in_k():
+    # D11: the gamma scan must not hold a (gammas x (K - 2)) array at once
+    tracemalloc.start()
+    try:
+        res = ku.closed_form_strong_search(400_000, math.sqrt(1.5), 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.feasible
+    assert peak < 32 * 2**20
+
+
 # large-K behaviour -----------------------------------------------------------
 
 def test_large_k_anchor_and_runtime():
